@@ -7,7 +7,31 @@ ratio arithmetic the paper's headline claims use ("at least 86 % faster").
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 from dataclasses import dataclass, field
+from pathlib import Path
+
+
+def host_block() -> dict:
+    """Where a benchmark ran: CPU count, Python version and the git
+    revision of the checkout holding this package (None outside one)."""
+    try:
+        revision = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_revision": revision,
+    }
 
 
 def percent_faster(new_value: float, old_value: float) -> float:

@@ -8,11 +8,16 @@ interleaved rounds (kernel A, B, C, then A, B, C again ...) keeping the
 best round per kernel, which cancels scheduler noise and frequency drift
 that would bias a one-kernel-at-a-time comparison.
 
+Each corpus is timed twice: ``kernels`` rows scan every payload from the
+root, and ``stateful`` rows resume each payload from the end state of the
+previous payload in its flow (payload *i* belongs to flow
+``i % STATEFUL_FLOWS``), as a stateful middlebox's flows do.
+
 The two corpora deliberately bracket the regex kernel's operating range:
 snort-like content strings share bytes with benign web traffic, so the
-rare-byte prefilter bails out and the kernel rides its flat-table fallback;
-clamav-like signatures anchor on bytes web traffic almost never carries,
-so whole payloads are dismissed at C scan speed.
+rare-byte anchors are dense and the kernel's q-gram stage finds the
+candidates; clamav-like signatures anchor on bytes web traffic almost
+never carries, so whole payloads are dismissed at C scan speed.
 """
 
 from __future__ import annotations
@@ -21,11 +26,15 @@ import json
 import time
 from dataclasses import dataclass
 
+from repro.bench.harness import host_block
 from repro.core.combined import CombinedAutomaton
 from repro.core.kernels import KERNEL_NAMES, ScanCache
 from repro.core.patterns import Pattern
 from repro.workloads.patterns import generate_clamav_like, generate_snort_like
 from repro.workloads.traffic import TrafficGenerator
+
+#: Flows the stateful rows spread a trace over.
+STATEFUL_FLOWS = 8
 
 #: Corpus name -> generator, in the order benchmarks report them.
 CORPORA = {
@@ -76,24 +85,53 @@ def build_workload(
     )
 
 
-def _best_of_interleaved(automaton, payloads, total_bytes, kernels, rounds):
-    """Best Mbps per kernel over interleaved timed rounds."""
+def carried_states(automaton, payloads, flows: int = STATEFUL_FLOWS) -> list:
+    """The start state of each payload when payload *i* continues flow
+    ``i % flows`` from the end state of that flow's previous payload."""
+    ends = [automaton.root] * flows
+    starts = []
+    for index, payload in enumerate(payloads):
+        flow = index % flows
+        starts.append(ends[flow])
+        ends[flow] = automaton.scan(payload, state=ends[flow]).end_state
+    return starts
+
+
+def _best_of_interleaved(
+    automaton, payloads, total_bytes, kernels, rounds, states=None
+):
+    """Best Mbps per kernel over interleaved timed rounds; *states* gives
+    each payload's start state (None: every scan starts at the root)."""
+    scans = list(zip(payloads, states or [None] * len(payloads)))
     best = {name: 0.0 for name in kernels}
     for name in kernels:  # build every kernel once before timing
         automaton.select_kernel(name)
-        for payload in payloads[:8]:
-            automaton.scan(payload)
+        for payload, state in scans[:8]:
+            automaton.scan(payload, state=state)
     for _ in range(rounds):
         for name in kernels:
             automaton.select_kernel(name)
             started = time.perf_counter()
-            for payload in payloads:
-                automaton.scan(payload)
+            for payload, state in scans:
+                automaton.scan(payload, state=state)
             elapsed = time.perf_counter() - started
             mbps = total_bytes * 8 / elapsed / 1e6 if elapsed > 0 else float("inf")
             if mbps > best[name]:
                 best[name] = mbps
     return best
+
+
+def _rows(best: dict) -> dict:
+    reference = best.get("reference", 0.0)
+    return {
+        name: {
+            "mbps": round(mbps, 2),
+            "speedup_vs_reference": (
+                round(mbps / reference, 2) if reference else None
+            ),
+        }
+        for name, mbps in best.items()
+    }
 
 
 def _cached_pass(automaton, payloads, total_bytes, cache_size, rounds):
@@ -134,7 +172,9 @@ def run_kernel_benchmark(
             "trace_style": "http",
             "match_rate": 0.08,
             "cache_size": cache_size,
+            "stateful_flows": STATEFUL_FLOWS,
         },
+        "host": host_block(),
         "corpora": {},
     }
     for corpus in corpora:
@@ -146,18 +186,19 @@ def run_kernel_benchmark(
             automaton, workload.payloads, workload.total_bytes, kernels, rounds
         )
         reference = best.get("reference", 0.0)
+        stateful = _best_of_interleaved(
+            automaton,
+            workload.payloads,
+            workload.total_bytes,
+            kernels,
+            rounds,
+            states=carried_states(automaton, workload.payloads),
+        )
         entry: dict = {
             "total_bytes": workload.total_bytes,
             "num_states": automaton.num_states,
-            "kernels": {
-                name: {
-                    "mbps": round(mbps, 2),
-                    "speedup_vs_reference": (
-                        round(mbps / reference, 2) if reference else None
-                    ),
-                }
-                for name, mbps in best.items()
-            },
+            "kernels": _rows(best),
+            "stateful": _rows(stateful),
         }
         if cache_size:
             automaton.select_kernel("flat")
@@ -188,12 +229,16 @@ def format_results(results: dict) -> str:
     )
     for corpus, entry in results["corpora"].items():
         lines.append(f"  {corpus} ({entry['num_states']} states):")
-        for name, numbers in entry["kernels"].items():
-            speedup = numbers["speedup_vs_reference"]
-            speedup_text = f"{speedup:6.2f}x" if speedup is not None else "   n/a"
-            lines.append(
-                f"    {name:10} {numbers['mbps']:10.2f} Mbps  {speedup_text}"
-            )
+        for start in ("kernels", "stateful"):
+            for name, numbers in entry[start].items():
+                speedup = numbers["speedup_vs_reference"]
+                speedup_text = (
+                    f"{speedup:6.2f}x" if speedup is not None else "   n/a"
+                )
+                label = name if start == "kernels" else f"{name}/carried"
+                lines.append(
+                    f"    {label:16} {numbers['mbps']:10.2f} Mbps  {speedup_text}"
+                )
         cache = entry.get("cache")
         if cache is not None:
             speedup = cache["speedup_vs_reference"]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.core.aho_corasick import AhoCorasick
 from repro.core.instance import INSTANCE_KERNEL_NAMES
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.kernels import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.core.patterns import Pattern, PatternKind
 from repro.core.workers import BACKEND_NAMES
 from repro.core.wu_manber import WuManber
@@ -881,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--kernel",
         choices=INSTANCE_KERNEL_NAMES,
-        default="flat",
+        default=DEFAULT_KERNEL,
         help="scan kernel for --engine combined",
     )
     scan.add_argument(
@@ -921,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--packets", type=int, default=40)
     report.add_argument("--seed", type=int, default=7)
     report.add_argument(
-        "--kernel", choices=INSTANCE_KERNEL_NAMES, default="flat"
+        "--kernel", choices=INSTANCE_KERNEL_NAMES, default=DEFAULT_KERNEL
     )
     report.add_argument(
         "--cache-size",
@@ -1032,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(
             name for name in INSTANCE_KERNEL_NAMES if name != "sharded"
         ),
-        default="flat",
+        default=DEFAULT_KERNEL,
     )
     load.add_argument(
         "--no-validate",
@@ -1125,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--packets", type=int, default=60)
     chaos.add_argument(
-        "--kernel", choices=INSTANCE_KERNEL_NAMES, default="flat"
+        "--kernel", choices=INSTANCE_KERNEL_NAMES, default=DEFAULT_KERNEL
     )
     _add_sharding_flags(chaos)
     chaos.add_argument(

@@ -204,6 +204,12 @@ class CombinedAutomaton:
         if self.scan_cache is not None:
             self.scan_cache.clear()
 
+    @property
+    def kernel_path_counts(self) -> "dict[str, int] | None":
+        """Scans per path of the installed kernel, when it keeps counts
+        (see :data:`~repro.core.kernels.PREFILTER_PATHS`)."""
+        return getattr(self._kernel, "path_counts", None)
+
     def next_state(self, state: int, byte: int) -> int:
         """Single DFA step (scan loops inline this for speed)."""
         if self._layout_is_full:

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from repro.core.instance import DPIServiceInstance, InstanceConfig
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.lifecycle import InstanceManager
 from repro.core.messages import (
     AckMessage,
@@ -316,7 +317,7 @@ class DPIController:
         self,
         chain_ids=None,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         scan_cache_size: int = 0,
     ) -> InstanceConfig:
         """Deprecated: use ``controller.instances.build_config(...)``."""
@@ -333,7 +334,7 @@ class DPIController:
         name: str,
         chain_ids=None,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         scan_cache_size: int = 0,
         validate: bool = True,
     ) -> DPIServiceInstance:
@@ -364,7 +365,7 @@ class DPIController:
         self,
         max_groups: int,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         name_prefix: str = "dpi-group",
     ) -> dict:
         """Deprecated: use ``controller.instances.plan_groups(...)``."""

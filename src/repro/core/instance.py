@@ -22,7 +22,7 @@ from typing import Hashable, TypedDict
 
 from repro.core.combined import CombinedAutomaton
 from repro.core.flow_table import ExportedFlow
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.kernels import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.core.patterns import Pattern, PatternKind
 from repro.core.regex import RegexPreFilter, split_matches
 from repro.core.reports import MatchReport
@@ -97,8 +97,9 @@ class InstanceConfig:
     chain_map: dict[int, tuple[int, ...]]
     layout: str = "sparse"
     #: Scan kernel (see repro.core.kernels).  Instances default to the
-    #: flat-table kernel; the reference loops remain selectable.
-    kernel: str = "flat"
+    #: prefilter kernel; the flat table and the reference loops remain
+    #: selectable.
+    kernel: str = DEFAULT_KERNEL
     #: LRU scan-cache capacity; 0 disables caching (the default — cached
     #: scans also skip the real per-byte work the MCA^2 stress telemetry
     #: measures, so caching is opt-in).
@@ -327,6 +328,18 @@ class DPIServiceInstance:
             )
         scanner.bind_metrics(registry, name)
         automaton = self.automaton
+        # Kernel paths are plain ints on the kernel, read only when the
+        # registry is.
+        path_counts = getattr(automaton, "kernel_path_counts", None)
+        if path_counts is not None:
+            for path in path_counts:
+                registry.gauge_callback(
+                    "dpi_kernel_path_total",
+                    lambda path=path: path_counts[path],
+                    instance=name,
+                    kernel=automaton.kernel_name,
+                    path=path,
+                )
         if hasattr(automaton, "bind_telemetry"):
             automaton.bind_telemetry(hub, name)
         self._tracer = hub.tracer

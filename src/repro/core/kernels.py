@@ -13,29 +13,28 @@ Three kernels are provided:
 * ``"reference"`` — the original per-byte Python loops over either layout
   (sparse goto/fail walking or per-state 256-entry rows).  Kept as the
   executable specification the others are checked against.
-* ``"flat"`` — the full-table rows fused into one contiguous
-  ``array("i", num_states * 256)``; a DFA step is a single
-  ``delta[(state << 8) | byte]`` lookup.  The scan loop additionally runs
-  over a pre-shifted list mirror of the fused table (list subscripts and
-  integer ``+`` are specialized by CPython 3.11's adaptive interpreter,
-  ``array`` subscripts and ``|`` are not) and is unrolled eight-ways over
-  strided slices, with every loop variable bound to a local.  Works for
-  both layouts (the sparse goto/fail tables are materialized once at
-  kernel construction).
-* ``"regex"`` — a rare-byte prefilter that keeps root-start stateless scans
-  inside CPython's C machinery.  Each distinct literal contributes its
-  rarest byte (under a static traffic-frequency prior) to one anchor
-  character class, compiled once into a single ``re`` scanner; any match
-  occurrence must put an anchor byte inside its span, so the DFA only has
-  to replay short windows around anchor runs, where the suffix-closed
-  match tables built in ``CombinedAutomaton._build_renumbered`` recover
-  every overlapping/suffix match exactly.  Payloads dense in anchor bytes
-  bail out to the flat kernel up front (a C-level ``translate`` count), so
-  the worst case degrades to flat-kernel speed instead of collapsing; on
-  high-entropy signature corpora (ClamAV-like) the anchors are bytes that
-  web-ish traffic almost never carries and whole payloads are dismissed at
-  C scan speed.  Mid-flow resumes and ``limit``-bounded scans fall back to
-  the flat kernel.
+* ``"flat"`` — the full-table rows fused into one contiguous list of
+  ``num_states * 256`` pre-shifted entries (``next_state << 8``), so a DFA
+  step is a single ``delta[state + byte]`` lookup (list subscripts and
+  integer ``+`` are specialized by CPython 3.11's adaptive interpreter).
+  The loop is unrolled eight-ways over strided slices, with every loop
+  variable bound to a local.  Works for both layouts (the sparse goto/fail
+  tables are materialized once, straight into the list, at kernel
+  construction).
+* ``"regex"`` — the instance default (:data:`DEFAULT_KERNEL`): a prefilter
+  in C and numpy picks candidate positions, and the flat DFA replays only
+  short windows around them, where the suffix-closed match tables built in
+  ``CombinedAutomaton._build_renumbered`` recover every overlapping/suffix
+  match exactly.  Candidates come from a rare-byte ``re`` anchor class
+  where anchors are sparse (high-entropy ClamAV-like signatures: whole
+  payloads dismissed at C speed) and from a hashed numpy table of each
+  pattern's rarest q-gram where they are dense (text rule bases).  Scans
+  resumed from carried flow state run the DFA from that state over the
+  first ``W - 1`` bytes only (``W`` = longest pattern); the state no longer
+  depends on the carried one after that.  Gram-dense payloads,
+  ``limit``-bounded scans and payloads under a length gate run the flat
+  kernel, so the worst case degrades to flat-kernel speed.  Each scan's
+  path is counted in ``path_counts``.
 
 An optional :class:`ScanCache` (LRU over ``(payload, active_bitmap,
 start_state, limit)``) lets repeated payloads — Alexa-style trace workloads
@@ -45,13 +44,18 @@ replay the same popular pages — skip the automaton entirely.
 from __future__ import annotations
 
 import re
-from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 #: Kernel names accepted by ``CombinedAutomaton`` / ``InstanceConfig``.
 KERNEL_NAMES = ("reference", "flat", "regex")
+
+#: The kernel instances, scenarios and CLI commands use unless told
+#: otherwise (``CombinedAutomaton`` itself defaults to ``"reference"``).
+DEFAULT_KERNEL = "regex"
 
 #: One raw match: ``(accepting state, bytes consumed when it was reached)``.
 RawMatch = tuple[int, int]
@@ -141,60 +145,58 @@ class ReferenceKernel:
         )
 
 
-def _fuse_flat_table(automaton) -> array:
-    """One contiguous next-state table: entry ``(state << 8) | byte``.
+def _fuse_shifted_table(automaton) -> list:
+    """One contiguous pre-shifted next-state list: entry
+    ``(state << 8) + byte`` holds ``next_state << 8``.
 
     For the ``full`` layout the per-state rows are fused as-is; for the
     ``sparse`` layout the dense rows are materialized breadth-first from the
-    goto/fail tables (a state's failure state is always shallower, so its
-    row is complete before the state is visited).
+    goto/fail tables straight into the list (a state's failure state is
+    always shallower, so its row is complete before the state is visited).
+    The entries come from one canon list, so the ~256 rows referencing a
+    state share one int object.
     """
     num_states = automaton.num_states
+    canon = [state << 8 for state in range(num_states)]
     if automaton._layout_is_full:
-        flat = array("i")
+        lookup = canon.__getitem__
+        delta: list = []
         for row in automaton._delta:
-            flat.extend(row.tolist())
-        return flat
+            delta.extend(map(lookup, row))
+        return delta
     goto = automaton._goto
     fail = automaton._fail
     root = automaton.root
-    rows: "list[array | None]" = [None] * num_states
-    root_row = array("i", [root]) * 256
+    delta = [canon[root]] * (num_states << 8)
+    base = root << 8
     for byte, child in goto[root].items():
-        root_row[byte] = child
-    rows[root] = root_row
+        delta[base + byte] = canon[child]
     queue = deque(goto[root].values())
     while queue:
         state = queue.popleft()
-        row = array("i", rows[fail[state]])
+        base = state << 8
+        fallback = fail[state] << 8
+        delta[base : base + 256] = delta[fallback : fallback + 256]
         for byte, child in goto[state].items():
-            row[byte] = child
-        rows[state] = row
+            delta[base + byte] = canon[child]
         queue.extend(goto[state].values())
-    flat = array("i")
-    for row in rows:
-        flat.extend(row)
-    return flat
+    return delta
 
 
 class FlatTableKernel:
     """Contiguous-table DFA steps, specialization-friendly and unrolled.
 
-    ``flat_table`` is the canonical fused ``array("i")``; the scan loop runs
-    over a list mirror whose entries are pre-shifted (``next_state << 8``)
-    so one step is ``state = delta[state + byte]`` with no per-byte shift,
-    and the accept test is a single compare against ``num_accepting << 8``.
-    The mirror's ints are built through one canon table so the ~256 rows
-    referencing each state share one int object.
+    The one table is a list whose entries are pre-shifted
+    (``next_state << 8``) so one step is ``state = delta[state + byte]``
+    with no per-byte shift, and the accept test is a single compare
+    against ``num_accepting << 8``.
     """
 
     name = "flat"
 
     def __init__(self, automaton) -> None:
         self._bitmaps = automaton._bitmaps
-        self.flat_table = _fuse_flat_table(automaton)
-        canon = [s << 8 for s in range(automaton.num_states)]
-        self._delta = [canon[v] for v in self.flat_table]
+        self._delta = _fuse_shifted_table(automaton)
         self._f8 = automaton.num_accepting << 8
 
     def scan(self, data, active_bitmap: int, state: int, limit) -> CombinedScanResult:
@@ -282,34 +284,102 @@ def _byte_rarity() -> list:
 _BYTE_RARITY = _byte_rarity()
 
 
+#: Paths a :class:`RegexPrefilterKernel` scan can take (its
+#: ``path_counts`` keys).  ``carried_head`` counts the scans among
+#: ``anchor``/``qgram`` that started from carried flow state; the
+#: ``*_dfa`` paths ran the whole payload through the flat DFA.
+PREFILTER_PATHS = (
+    "anchor", "qgram", "carried_head", "dense_dfa", "short_dfa", "bounded_dfa",
+)
+
+#: Longest q-gram the q-gram stage uses (4 bytes view as one ``uint32``).
+_MAX_Q = 4
+#: log2 of the q-gram stage's hashed membership table (1 MiB of bools).
+_GRAM_HASH_BITS = 20
+_GRAM_HASH_MULT = np.uint32(0x9E3779B1)
+_GRAM_HASH_SHIFT = np.uint32(32 - _GRAM_HASH_BITS)
+
+
+def _rarest_grams(patterns: list, q: int) -> "frozenset[bytes]":
+    """Each pattern's rarest *q*-gram: lowest summed :data:`_BYTE_RARITY`,
+    earliest on ties.
+
+    One vectorised pass over all patterns joined end to end: a running sum
+    of byte scores gives every q-gram's score, grams that would cross into
+    the next pattern are masked off, and ``minimum.reduceat`` over the
+    pattern starts picks each pattern's best ``(score, position)`` key.
+    """
+    joined = b"".join(patterns)
+    lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
+    ends = np.cumsum(lengths)
+    rarity = np.asarray(_BYTE_RARITY, dtype=np.int64)
+    scores = np.concatenate(
+        ([0], np.cumsum(rarity[np.frombuffer(joined, dtype=np.uint8)]))
+    )
+    count = len(joined) - q + 1
+    positions = np.arange(count, dtype=np.int64)
+    keys = ((scores[q:] - scores[:count]) << 32) | positions
+    keys[positions + q > np.repeat(ends, lengths)[:count]] = np.iinfo(np.int64).max
+    best = np.minimum.reduceat(keys, ends - lengths) & 0xFFFFFFFF
+    return frozenset(joined[start : start + q] for start in best.tolist())
+
+
 class RegexPrefilterKernel:
-    """Rare-byte anchor prefilter; the DFA replays only candidate windows.
+    """A prefilter in C and numpy; the DFA replays only candidate windows.
 
-    Every distinct literal contributes its rarest byte (by the static
-    :data:`_BYTE_RARITY` prior) to one anchor character class.  Any
-    occurrence of a pattern therefore contains an anchor byte, so every
-    match *end* lies within ``max_pattern_length`` bytes after some anchor
-    run found by the single compiled ``[anchors]+`` scanner.  Each merged
+    Every match of a pattern of length at most ``W`` (the longest pattern)
+    ends within ``W`` bytes after a byte the pattern is known to contain,
+    and the DFA state at any position depends only on the ``W`` bytes
+    before it.  So once candidate positions are known, each merged
     candidate region is replayed through the flat table from the root with
-    a ``max_pattern_length - 1`` byte lead-in (the DFA state at any
-    position depends only on the preceding ``max_pattern_length`` bytes),
-    which reproduces exactly the reference kernel's matches — including
-    overlapping and suffix matches, courtesy of the suffix-closed match
-    tables.  The scan's end state is replayed over the final window the
-    same way.
+    a ``W - 1`` byte lead-in, which reproduces exactly the flat kernel's
+    matches — including overlapping and suffix matches, courtesy of the
+    suffix-closed match tables — and the end state is a root replay of the
+    final ``W`` bytes.  Candidates come from two stages:
 
-    Anchor-dense payloads (counted up front with a C-level ``translate``)
-    and region sets covering most of the payload bail out to the flat
-    kernel, bounding the worst case — e.g. an anchor-flood attack — at
-    flat-kernel speed.  Non-root starts and bounded scans use the flat
-    kernel directly.
+    1. **anchor** — every distinct literal contributes its rarest byte (by
+       the static :data:`_BYTE_RARITY` prior) to one character class,
+       compiled once into a ``[anchors]+`` ``re`` scanner.  On high-entropy
+       signature corpora (ClamAV-like) these are bytes web traffic almost
+       never carries, and whole payloads are dismissed at C speed.
+    2. **qgram** — when anchors are dense (text-like rule bases anchor on
+       common letters), every distinct literal's rarest ``q``-gram
+       (``q = min(4, shortest pattern)``) goes into one hashed numpy
+       membership table, checked exactly against the gram set; one
+       vectorised lookup over the payload gives the candidate positions.
+       The anchor stage stays first: where anchors are sparse, most
+       payloads hold none and two ``translate`` calls dismiss them, far
+       cheaper than the q-gram lookup.
+
+    A scan resumed from carried flow state runs the flat DFA from that
+    state over the first ``W - 1`` bytes only (**carried_head**): those
+    bytes hold every match that straddles the packet boundary, and after
+    them the state no longer depends on the carried one, so the root
+    window replays cover the rest.
+
+    Three cases run the whole payload through the flat kernel instead:
+    payloads whose q-gram candidates would cover most of the payload
+    (**dense_dfa**, bounding e.g. a gram-flood attack at flat-kernel
+    speed), payloads shorter than :attr:`_LENGTH_GATE` windows that would
+    need the carried head or the q-gram stage (**short_dfa**: their fixed
+    cost, about ``2 W`` replayed bytes and a dozen numpy calls, exceeds
+    the DFA walk they save; a root-start anchor scan has no such cost and
+    runs at any length) and ``limit``-bounded scans (**bounded_dfa**).
+    ``path_counts`` counts each scan's path (see :data:`PREFILTER_PATHS`).
     """
 
     name = "regex"
 
-    #: Bail to the flat kernel when anchor count * window exceeds this
-    #: multiple of the payload length (regions would cover most of it).
+    #: Candidates are dense when count * window exceeds this multiple of
+    #: the payload length (their regions would cover most of it).
     _DENSITY_BAIL = 2
+    #: Bytes of the payload's head whose anchor density is checked before
+    #: anchors are counted over the whole payload.
+    _ANCHOR_SAMPLE = 256
+    #: Payloads shorter than this many windows (``W`` bytes) that need the
+    #: carried head or the q-gram stage go straight to the DFA.  Set at the
+    #: measured crossover with the flat kernel (DESIGN.md §7).
+    _LENGTH_GATE = 8
 
     def __init__(self, automaton) -> None:
         self._root = automaton.root
@@ -317,8 +387,10 @@ class RegexPrefilterKernel:
         self._fallback = FlatTableKernel(automaton)
         self._delta = self._fallback._delta
         self._f8 = self._fallback._f8
+        self.path_counts = dict.fromkeys(PREFILTER_PATHS, 0)
         patterns = automaton._distinct_patterns
-        self._window = max((len(p) for p in patterns), default=0)
+        self._window = max(map(len, patterns), default=0)
+        self._gate = self._LENGTH_GATE * self._window
         if patterns:
             rarity = _BYTE_RARITY
             anchors = sorted(
@@ -330,10 +402,63 @@ class RegexPrefilterKernel:
             )
             anchor_set = set(anchors)
             self._non_anchors = bytes(b for b in range(256) if b not in anchor_set)
+            self.q = q = min(_MAX_Q, min(map(len, patterns)))
+            self.grams = _rarest_grams(patterns, q)
+            self._gram_mask = np.uint32((1 << (8 * q)) - 1)
+            self._gram_pad = bytes(_MAX_Q - q)
+            # Zero padding makes each gram's uint32 equal a payload gram
+            # under the mask.
+            values = np.frombuffer(
+                b"".join(gram + self._gram_pad for gram in sorted(self.grams)),
+                dtype="<u4",
+            )
+            self._gram_table = np.zeros(1 << _GRAM_HASH_BITS, dtype=bool)
+            self._gram_table[self._gram_hash(values)] = True
         else:
             self.anchor_bytes = b""
             self._scanner = None
             self._non_anchors = bytes(range(256))
+            self.q = 0
+            self.grams = frozenset()
+
+    @staticmethod
+    def _gram_hash(values: np.ndarray) -> np.ndarray:
+        return (values * _GRAM_HASH_MULT) >> _GRAM_HASH_SHIFT
+
+    def _gram_candidates(self, data: bytes) -> list:
+        """Positions whose q-gram is some pattern's rarest q-gram: a hashed
+        table lookup over every position, then an exact set check of the
+        few hits."""
+        q = self.q
+        if q < _MAX_Q:
+            values = np.ndarray(
+                (len(data) - q + 1,),
+                dtype="<u4",
+                buffer=data + self._gram_pad,
+                strides=(1,),
+            ) & self._gram_mask
+        else:
+            values = np.ndarray(
+                (len(data) - 3,), dtype="<u4", buffer=data, strides=(1,)
+            )
+        hits = self._gram_table.take(self._gram_hash(values)).nonzero()[0]
+        grams = self.grams
+        return [i for i in hits.tolist() if data[i : i + q] in grams]
+
+    @staticmethod
+    def _merged(spans) -> "list[list[int]]":
+        """Merge ascending ``(lo, hi)`` spans into disjoint ``[lo, hi]``
+        regions: match ends ``lo < cnt <= hi`` that need replaying."""
+        regions: list[list[int]] = []
+        last: "list[int] | None" = None
+        for lo, hi in spans:
+            if last is not None and lo <= last[1]:
+                if hi > last[1]:
+                    last[1] = hi
+            else:
+                last = [lo, hi]
+                regions.append(last)
+        return regions
 
     def _end_state8(self, data) -> int:
         """The (pre-shifted) state of a root-start scan over all of *data*."""
@@ -347,45 +472,75 @@ class RegexPrefilterKernel:
         return state
 
     def scan(self, data, active_bitmap: int, state: int, limit) -> CombinedScanResult:
-        """Scan *data*; non-root starts and bounded scans use the DFA."""
+        """Scan *data*: prefilter, then replay candidate windows."""
         n = len(data)
-        if state != self._root or (limit is not None and limit < n):
+        counts = self.path_counts
+        if limit is not None and limit < n:
+            counts["bounded_dfa"] += 1
+            return self._fallback.scan(data, active_bitmap, state, limit)
+        short = n < self._gate
+        if short and state != self._root:
+            counts["short_dfa"] += 1
             return self._fallback.scan(data, active_bitmap, state, limit)
         if self._scanner is None:
+            counts["anchor"] += 1
             return CombinedScanResult(
                 raw_matches=[], end_state=state, bytes_scanned=n
             )
         if data.__class__ is not bytes:
             data = bytes(data)
-        anchor_count = len(data.translate(None, self._non_anchors))
-        if anchor_count == 0:
-            return CombinedScanResult(
-                raw_matches=[], end_state=self._end_state8(data) >> 8, bytes_scanned=n
-            )
         window = self._window
-        if anchor_count * window * self._DENSITY_BAIL >= n:
+        dense = self._DENSITY_BAIL * window
+        # A short sample first: counting anchors in anchor-dense text costs
+        # more than the q-gram stage saves, so dense heads skip the count.
+        non_anchors = self._non_anchors
+        head = data[: self._ANCHOR_SAMPLE]
+        sparse = len(head.translate(None, non_anchors)) * dense < len(head)
+        if sparse:
+            anchors = len(data.translate(None, non_anchors))
+            sparse = anchors * dense < n
+        if sparse:
+            counts["anchor"] += 1
+            # Most anchor-sparse payloads hold no anchor at all; the ``re``
+            # scan is skipped for them.
+            regions = self._merged(
+                (found.start(), found.end() - 1 + window)
+                for found in self._scanner.finditer(data)
+            ) if anchors else []
+        elif short:
+            counts["short_dfa"] += 1
             return self._fallback.scan(data, active_bitmap, state, limit)
-        # Merged candidate regions: region (lo, hi] holds the match-end
-        # positions an anchor run can account for.
-        regions: list[list[int]] = []
-        last: "list[int] | None" = None
-        for found in self._scanner.finditer(data):
-            lo = found.start()
-            hi = found.end() - 1 + window
-            if last is not None and lo <= last[1]:
-                if hi > last[1]:
-                    last[1] = hi
-            else:
-                last = [lo, hi]
-                regions.append(last)
+        else:
+            positions = self._gram_candidates(data)
+            if len(positions) * dense >= n:
+                counts["dense_dfa"] += 1
+                return self._fallback.scan(data, active_bitmap, state, limit)
+            counts["qgram"] += 1
+            regions = self._merged((lo, lo + window) for lo in positions)
+        lead = window - 1
+        floor = 0
         raw_matches: list[RawMatch] = []
+        if state != self._root:
+            # Matches ending in the first W - 1 bytes may have begun in an
+            # earlier packet: only the carried state finds them.
+            counts["carried_head"] += 1
+            floor = lead
         append = raw_matches.append
         delta = self._delta
         f8 = self._f8
         bitmaps = self._bitmaps
+        if floor:
+            current = state << 8
+            for cnt, byte in enumerate(data[:lead], 1):
+                current = delta[current + byte]
+                if current < f8 and bitmaps[current >> 8] & active_bitmap:
+                    append((current >> 8, cnt))
         root8 = self._root << 8
-        lead = window - 1
         for lo, hi in regions:
+            if lo < floor:
+                if hi <= floor:
+                    continue
+                lo = floor
             start = lo - lead
             if start < 0:
                 start = 0

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.validators import raise_on_errors, validate_instance_config
 from repro.core.instance import DPIServiceInstance, InstanceConfig
+from repro.core.kernels import DEFAULT_KERNEL
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.controller import DPIController
@@ -90,7 +91,7 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         *,
         chain_ids: "Sequence[int] | None" = None,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         scan_cache_size: int = 0,
         shards: int = 0,
         shard_backend: str = "serial",
@@ -140,7 +141,7 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         *,
         chain_ids: "Sequence[int] | None" = None,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         scan_cache_size: int = 0,
         shards: int = 0,
         shard_backend: str = "serial",
@@ -222,7 +223,7 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         *,
         max_groups: int,
         layout: str = "sparse",
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         name_prefix: str = "dpi-group",
     ) -> dict[str, list[int]]:
         """Provision one instance per group of similar policy chains.

@@ -21,6 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.faults.control import ControlChannel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -139,7 +140,7 @@ def run_chaos_scenario(
     *,
     packets: int = 60,
     packet_interval: float = 0.01,
-    kernel: str = "flat",
+    kernel: str = DEFAULT_KERNEL,
     shards: int = 0,
     shard_backend: str = "serial",
     shard_kernel: str = "flat",

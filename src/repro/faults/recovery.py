@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.instance import DPIServiceFunction, InstanceUnavailableError
+from repro.core.kernels import DEFAULT_KERNEL
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.faults.control import ControlChannel
@@ -212,7 +213,7 @@ class FailoverCoordinator:
         dpi_functions: "dict[str, DPIServiceFunction] | None" = None,
         middlebox_functions: "dict[str, object] | None" = None,
         spare_hosts: "list[str] | None" = None,
-        kernel: str = "flat",
+        kernel: str = DEFAULT_KERNEL,
         shards: int = 0,
         shard_backend: str = "serial",
         shard_kernel: str = "flat",

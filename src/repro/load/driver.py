@@ -51,6 +51,7 @@ from repro.autoscale import (
     Autoscaler,
     build_policies,
 )
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.load.generator import SIGNATURES, LoadBatch, LoadGenerator
 from repro.load.profiles import (
     CHAIN_FLOOD,
@@ -258,7 +259,7 @@ class LoadDriver:
                 registry=self.hub.registry,
             )
             self.anomaly.register_with(self.controller)
-        self.instance_kwargs = dict(instance_kwargs or {"kernel": "flat"})
+        self.instance_kwargs = dict(instance_kwargs or {"kernel": DEFAULT_KERNEL})
         for index in range(spec.initial_instances):
             self.controller.instances.provision(
                 f"dpi-{index + 1}", **self.instance_kwargs

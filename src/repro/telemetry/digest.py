@@ -21,10 +21,10 @@ import json
 TIMING_TOKENS = frozenset({"seconds", "latency"})
 
 #: Tokens naming execution-backend internals (arena occupancy, descriptor
-#: queues, copy-avoidance accounting).  These describe *how* a scan ran,
-#: not what the workload produced — backend choice must not move the
-#: digest, exactly like wall-clock timings.
-BACKEND_TOKENS = frozenset({"arena", "descriptor", "copy"})
+#: queues, copy-avoidance accounting, scan-kernel paths).  These describe
+#: *how* a scan ran, not what the workload produced — backend and kernel
+#: choice must not move the digest, exactly like wall-clock timings.
+BACKEND_TOKENS = frozenset({"arena", "descriptor", "copy", "kernel"})
 
 _EXCLUDED_TOKENS = TIMING_TOKENS | BACKEND_TOKENS
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.controller import DPIController
 from repro.core.instance import DPIServiceFunction
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.middleboxes.antivirus import AntiVirus
 from repro.middleboxes.base import MiddleboxChainFunction
 from repro.middleboxes.firewall import L2L4Firewall, L2L4FirewallFunction
@@ -87,7 +88,7 @@ def _build_payload(rng: random.Random, chain: str) -> bytes:
 
 
 def build_figure5_system(
-    kernel: str = "flat",
+    kernel: str = DEFAULT_KERNEL,
     scan_cache_size: int = 0,
     telemetry: bool = True,
     tracing: bool = True,
@@ -193,7 +194,7 @@ def build_figure5_system(
 def run_figure5_scenario(
     packets: int = 40,
     seed: int = 7,
-    kernel: str = "flat",
+    kernel: str = DEFAULT_KERNEL,
     scan_cache_size: int = 0,
     telemetry: bool = True,
     tracing: bool = True,

@@ -5,7 +5,9 @@ import pytest
 from repro.core.combined import CombinedAutomaton
 from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.kernels import (
+    DEFAULT_KERNEL,
     KERNEL_NAMES,
+    PREFILTER_PATHS,
     FlatTableKernel,
     RegexPrefilterKernel,
     ScanCache,
@@ -133,6 +135,87 @@ class TestKernelEquivalence:
             assert_identical(automaton, payload)
 
 
+class TestPrefilterPaths:
+    """The regex kernel's paths on payloads past its length gate."""
+
+    PATTERNS = [b"ABCDEFGH", b"FGH", b"q\x00rs"]  # longest W = 8
+
+    def kernels(self, layout="sparse"):
+        automaton = build({1: self.PATTERNS}, layout=layout)
+        return automaton, FlatTableKernel(automaton), RegexPrefilterKernel(automaton)
+
+    def scan_both(self, payload, state=None, limit=None, layout="sparse"):
+        automaton, flat, regex = self.kernels(layout)
+        if state is not None:
+            state = flat.scan(state, 1 << 1, automaton.root, None).end_state
+        else:
+            state = automaton.root
+        expected = flat.scan(payload, 1 << 1, state, limit)
+        got = regex.scan(payload, 1 << 1, state, limit)
+        assert (got.raw_matches, got.end_state, got.bytes_scanned) == (
+            expected.raw_matches,
+            expected.end_state,
+            expected.bytes_scanned,
+        )
+        return got, regex.path_counts
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_carried_matches_at_head_boundary(self, layout):
+        # From carried state "A", the payload completes "ABCDEFGH" at
+        # cnt = W - 1 (the head's last byte); a second occurrence fully
+        # inside the payload ends at cnt = W + 7.  From carried state
+        # "ABCDEFG" an "H" ends it at cnt = 1, and an occurrence starting
+        # at byte 0 ends at cnt = W, the first byte past the head.
+        filler = b"z" * 200
+        got, counts = self.scan_both(b"BCDEFGHABCDEFGH" + filler, b"xA", layout=layout)
+        positions = [cnt for _, cnt in got.raw_matches]
+        assert positions == [7, 15]  # one accepting state: ABCDEFGH + FGH
+        assert counts["carried_head"] == 1
+        got, _ = self.scan_both(b"ABCDEFGH" + filler, b"ABCDEFG", layout=layout)
+        assert [cnt for _, cnt in got.raw_matches] == [8]
+        got, _ = self.scan_both(b"H" + filler, b"ABCDEFG", layout=layout)
+        assert [cnt for _, cnt in got.raw_matches] == [1]
+
+    def test_each_path_is_counted(self):
+        long_filler = b"z" * 300
+        _, counts = self.scan_both(long_filler + b"q\x00rs")
+        assert counts["anchor"] == 1
+        # Upper-case and \x00 anchors everywhere, but no pattern's gram.
+        _, counts = self.scan_both(b"AzBz\x00z" * 60)
+        assert counts["qgram"] == 1
+        _, counts = self.scan_both(b"ABCDEFGH" * 40)
+        assert counts["dense_dfa"] == 1
+        _, counts = self.scan_both(b"zzABCDEFGH")
+        assert counts["short_dfa"] == 1
+        _, counts = self.scan_both(long_filler, limit=10)
+        assert counts["bounded_dfa"] == 1
+        _, counts = self.scan_both(long_filler, b"AB")
+        assert counts["carried_head"] == 1 and counts["anchor"] == 1
+
+    def test_short_patterns_shrink_the_gram(self):
+        automaton = build({1: [b"ab", b"abcdef"]})
+        assert RegexPrefilterKernel(automaton).q == 2
+        automaton = build({1: [b"abcdefg"]})
+        assert RegexPrefilterKernel(automaton).q == 4
+
+    def test_instance_exports_path_counts(self):
+        from repro.telemetry import TelemetryHub
+        from repro.telemetry.digest import digest_material
+
+        hub = TelemetryHub()
+        instance = DPIServiceInstance(make_instance_config("regex"), telemetry=hub)
+        instance.inspect(b"an attack", chain_id=100)
+        samples = {
+            metric.labels["path"]: metric.value
+            for metric in hub.registry.collect()
+            if metric.name == "dpi_kernel_path_total"
+        }
+        assert set(samples) == set(PREFILTER_PATHS)
+        assert samples["short_dfa"] == 1
+        names = {m["name"] for m in digest_material(hub)["metrics"]}
+        assert "dpi_kernel_path_total" not in names
+
+
 class TestKernelSelection:
     def test_unknown_kernel_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -151,15 +234,30 @@ class TestKernelSelection:
     def test_default_kernel_is_reference(self):
         assert build({1: [b"abc"]}).kernel_name == "reference"
 
+    def test_instances_default_to_the_prefilter_kernel(self):
+        config = make_instance_config(DEFAULT_KERNEL)
+        assert DEFAULT_KERNEL == "regex"
+        assert InstanceConfig(
+            pattern_sets=config.pattern_sets,
+            profiles=config.profiles,
+            chain_map=config.chain_map,
+        ).kernel == DEFAULT_KERNEL
+
     def test_kernel_name_tracks_selection(self):
         automaton = build({1: [b"abc"]})
         automaton.select_kernel("flat")
         assert automaton.kernel_name == "flat"
 
     def test_flat_table_shape(self):
-        automaton = build({1: [b"ab"]}, layout="full")
-        kernel = FlatTableKernel(automaton)
-        assert len(kernel.flat_table) == automaton.num_states * 256
+        for layout in LAYOUTS:
+            automaton = build({1: [b"ab", b"ba"]}, layout=layout)
+            table = FlatTableKernel(automaton)._delta
+            assert len(table) == automaton.num_states * 256
+            # Entries are pre-shifted next states matching the automaton.
+            for state in range(automaton.num_states):
+                for byte in (0, ord("a"), ord("b"), 255):
+                    expected = automaton.next_state(state, byte) << 8
+                    assert table[(state << 8) + byte] == expected
 
     def test_regex_kernel_anchor_bytes_cover_patterns(self):
         automaton = build({1: [b"abc\xffx", b"plain"]})

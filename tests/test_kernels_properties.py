@@ -5,7 +5,10 @@ prefixes, and suffix matches) are scanned over random payloads — from the
 root, resumed mid-flow, and under byte limits — and every kernel must
 produce exactly the reference kernel's raw matches, end state, and byte
 count.  A second property checks the same at the instance level, where raw
-matches become middlebox reports.
+matches become middlebox reports.  A third drives the regex kernel's
+prefilter paths with payloads longer than its length gate, carried-state
+starts and q-grams shorter than four bytes, and checks that every path
+was reached.
 """
 
 import random
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.combined import CombinedAutomaton
 from repro.core.instance import DPIServiceInstance, InstanceConfig
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.kernels import KERNEL_NAMES, PREFILTER_PATHS, make_kernel
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
 from repro.net.reassembly import OVERLAP_POLICIES, StreamReassembler
@@ -189,3 +192,83 @@ def test_reassembled_ambiguous_streams_scan_identically(
         len(other.add_segment(seq, data)) for seq, data in segments
     )
     assert other_total == released_total
+
+
+# --- the regex kernel's prefilter paths ------------------------------------
+#
+# The cases above are at most 96 bytes, mostly under the regex kernel's
+# length gate (_LENGTH_GATE windows of the longest pattern), so they run
+# its DFA fallback.  These cases are built to reach every path instead:
+# long payloads mixing anchor-free filler, anchor-dense but gram-free
+# filler, planted patterns and gram-dense runs; carried-state starts whose
+# prefix leaves a pattern half matched; and pattern sets whose shortest
+# pattern is under four bytes, so the q-gram length shrinks.
+
+
+def prefilter_case(rng):
+    """``(patterns, carried prefix, payload, limit)`` from *rng*."""
+    shortest = rng.choice((1, 2, 3, 4))
+    patterns = [
+        bytes(rng.choice(ALPHABET) for _ in range(rng.randint(shortest, 6)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    # A prefix that ends inside a pattern, so the payload's first bytes
+    # complete a match straddling the carried state.
+    straddled = rng.choice(patterns)
+    prefix = bytes(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6)))
+    prefix += straddled[: rng.randint(0, len(straddled))]
+    parts = [straddled[len(prefix) % len(straddled) :]] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.random()
+        if kind < 0.35:
+            parts.append(b"z" * rng.randint(0, 120))
+        elif kind < 0.55:
+            # Alphabet bytes split by 'z': anchors, but few patterns' grams.
+            parts.append(b"z".join(rng.choice(ALPHABET).to_bytes(1, "big")
+                                   for _ in range(rng.randint(1, 60))))
+        elif kind < 0.85:
+            parts.append(rng.choice(patterns))
+        else:
+            parts.append(bytes(rng.choice(ALPHABET) for _ in range(rng.randint(0, 80))))
+    payload = b"".join(parts)
+    limit = rng.randint(0, len(payload)) if rng.random() < 0.1 else None
+    return patterns, prefix, payload, limit
+
+
+def check_prefilter_case(rng, layout):
+    """Scan one case from the root and from carried state with every
+    kernel; returns the regex kernel (for its path counts)."""
+    patterns, prefix, payload, limit = prefilter_case(rng)
+    automaton = CombinedAutomaton(
+        {1: [Pattern(i, p) for i, p in enumerate(patterns)]}, layout=layout
+    )
+    kernels = {name: make_kernel(automaton, name) for name in KERNEL_NAMES}
+    reference = kernels["reference"]
+    carried = reference.scan(prefix, 1 << 1, automaton.root, None).end_state
+    for state in (automaton.root, carried):
+        expected = reference.scan(payload, 1 << 1, state, limit)
+        for name in ("flat", "regex"):
+            got = kernels[name].scan(payload, 1 << 1, state, limit)
+            assert got.raw_matches == expected.raw_matches, (name, state)
+            assert got.end_state == expected.end_state, (name, state)
+            assert got.bytes_scanned == expected.bytes_scanned, (name, state)
+    return kernels["regex"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.randoms(use_true_random=False), layout=st.sampled_from(("sparse", "full")))
+def test_prefilter_paths_scan_identically(rng, layout):
+    check_prefilter_case(rng, layout)
+
+
+def test_prefilter_cases_reach_every_path():
+    rng = random.Random(20140)
+    totals = dict.fromkeys(PREFILTER_PATHS, 0)
+    q_lengths = set()
+    for index in range(150):
+        kernel = check_prefilter_case(rng, ("sparse", "full")[index % 2])
+        q_lengths.add(kernel.q)
+        for path, count in kernel.path_counts.items():
+            totals[path] += count
+    assert all(totals.values()), totals
+    assert q_lengths >= {1, 2, 3, 4}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.instance import DPIServiceInstance, InstanceConfig
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
 from repro.net.simulator import Simulator
@@ -277,7 +278,7 @@ class TestInstanceTelemetry:
         attrs = spans[0].attributes
         assert attrs["instance"] == "dpi-t"
         assert attrs["chain"] == CHAIN
-        assert attrs["kernel"] == "flat"
+        assert attrs["kernel"] == DEFAULT_KERNEL
         assert attrs["matches"] == 1
         assert attrs["bytes"] == len(b"with needle-alpha")
 

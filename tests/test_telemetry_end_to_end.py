@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.telemetry.export import export_jsonl, prometheus_text
 from repro.telemetry.report import render_report
 from repro.telemetry.scenario import run_figure5_scenario
@@ -39,7 +40,7 @@ class TestSpanTree:
         assert len(spans) == PACKETS
         for span in spans:
             assert span.attributes["instance"] == "dpi3"
-            assert span.attributes["kernel"] == "flat"
+            assert span.attributes["kernel"] == DEFAULT_KERNEL
             assert span.attributes["bytes"] > 0
             assert span.attributes["chain"] > 0
             assert span.attributes["elapsed_seconds"] >= 0
