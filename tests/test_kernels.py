@@ -144,12 +144,11 @@ class TestPrefilterPaths:
         automaton = build({1: self.PATTERNS}, layout=layout)
         return automaton, FlatTableKernel(automaton), RegexPrefilterKernel(automaton)
 
-    def scan_both(self, payload, state=None, limit=None, layout="sparse"):
+    def scan_both(self, payload, prefix=b"", limit=None, layout="sparse"):
+        """Scan *payload* with both kernels, carrying the state *prefix*
+        leaves; returns the regex result and its path counts."""
         automaton, flat, regex = self.kernels(layout)
-        if state is not None:
-            state = flat.scan(state, 1 << 1, automaton.root, None).end_state
-        else:
-            state = automaton.root
+        state = flat.scan(prefix, 1 << 1, automaton.root, None).end_state
         expected = flat.scan(payload, 1 << 1, state, limit)
         got = regex.scan(payload, 1 << 1, state, limit)
         assert (got.raw_matches, got.end_state, got.bytes_scanned) == (
